@@ -30,9 +30,11 @@ type Point struct {
 	// compare at quick scale.
 	Seconds    float64
 	MinSeconds float64
-	// Statements and RowsScanned expose the engine's cost model.
+	// Statements and RowsScanned expose the engine's cost model;
+	// RowsDeleted is the work a delete method must do whatever its cost.
 	Statements  int64
 	RowsScanned int64
+	RowsDeleted int64
 	// IndexProbes and FullScans expose the access paths the executor chose;
 	// PlanHits and PlanMisses expose prepared-plan cache effectiveness.
 	IndexProbes int64
@@ -130,6 +132,7 @@ func measure(runs int, setup func() (*engine.Store, error), op func(*engine.Stor
 			recordStatsDelta(st)
 			pt.Statements = st.Statements
 			pt.RowsScanned = st.RowsScanned
+			pt.RowsDeleted = st.RowsDeleted
 			pt.IndexProbes = st.IndexProbes
 			pt.FullScans = st.FullScans
 			pt.PlanHits = st.PlanCacheHits

@@ -119,23 +119,45 @@ func TestFig10Shape(t *testing.T) {
 // TestCascadeTracksPerStatement: §7.3 found the two within ~5%; our engine
 // makes the cascade issue the same deletes as client statements, so we allow
 // a generous factor while asserting they stay the same order of magnitude.
+// The timing comparison uses min-of-runs and one retry, like TestFig10Shape:
+// at quick scale a delete takes about a millisecond, so one slowed run on a
+// shared machine can move a mean past the bound. The structural assertions
+// stay strict: both methods delete exactly the same rows, and the cascade
+// issues more client statements.
 func TestCascadeTracksPerStatement(t *testing.T) {
-	fig, err := RunCascadeComparison(Config{Runs: 3, Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	perStm := findSeries(t, fig, "per-stm trigger")
-	casc := findSeries(t, fig, "cascade")
-	for i := range perStm.Points {
-		a, b := perStm.Points[i].Seconds, casc.Points[i].Seconds
-		if b > 3*a+0.001 || a > 3*b+0.001 {
-			t.Errorf("x=%d: cascade %.6fs vs per-statement %.6fs diverge", perStm.Points[i].X, b, a)
+	run := func() (perStm, casc Series) {
+		fig, err := RunCascadeComparison(Config{Runs: 4, Quick: true})
+		if err != nil {
+			t.Fatal(err)
 		}
-		// The deletes themselves are identical; the cascade just issues
-		// more client statements.
-		if casc.Points[i].Statements <= perStm.Points[i].Statements {
-			t.Errorf("cascade statements (%d) should exceed per-statement trigger's (%d)",
-				casc.Points[i].Statements, perStm.Points[i].Statements)
+		return findSeries(t, fig, "per-stm trigger"), findSeries(t, fig, "cascade")
+	}
+	diverged := func(perStm, casc Series) []string {
+		var out []string
+		for i := range perStm.Points {
+			a, b := perStm.Points[i].MinSeconds, casc.Points[i].MinSeconds
+			if b > 3*a+0.001 || a > 3*b+0.001 {
+				out = append(out, fmt.Sprintf("x=%d: cascade %.6fs vs per-statement %.6fs diverge", perStm.Points[i].X, b, a))
+			}
+		}
+		return out
+	}
+	perStm, casc := run()
+	if len(diverged(perStm, casc)) > 0 {
+		perStm, casc = run()
+		for _, msg := range diverged(perStm, casc) {
+			t.Error(msg)
+		}
+	}
+	for i := range perStm.Points {
+		ps, cp := perStm.Points[i], casc.Points[i]
+		if ps.RowsDeleted == 0 || cp.RowsDeleted != ps.RowsDeleted {
+			t.Errorf("x=%d: cascade deleted %d rows, per-statement trigger %d; want the same, nonzero",
+				ps.X, cp.RowsDeleted, ps.RowsDeleted)
+		}
+		if cp.Statements <= ps.Statements {
+			t.Errorf("x=%d: cascade statements (%d) should exceed per-statement trigger's (%d)",
+				ps.X, cp.Statements, ps.Statements)
 		}
 	}
 }

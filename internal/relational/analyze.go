@@ -3,8 +3,6 @@ package relational
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -33,53 +31,41 @@ type anKey struct {
 const (
 	anProject  = -1 // projection / aggregation (also the values body)
 	anDistinct = -2
-	anExchange = -3 // parallel fan-out (ordered exchange or parallel agg)
-	anSort     = -4
-	anMerge    = -5
-	anUnion    = -6
-	anMatch    = -7 // DML row-match access path
+	anSort     = -3
+	anMerge    = -4
+	anUnion    = -5
+	anMatch    = -6 // DML row-match access path
 )
 
-// opMetrics is one operator's actuals. Atomics because parallel CTE waves
-// build and drain sibling pipelines concurrently, and worker pipelines fold
-// their scan counters from worker goroutines. workers/parts are written
-// once, from the goroutine constructing the parallel body, before any
-// worker runs.
+// opMetrics is one operator's actuals. The analyzed statement runs on its
+// caller's goroutine, so the fields are plain counters.
 type opMetrics struct {
-	rows    atomic.Int64 // rows produced (consumer side for exchanges)
-	loops   atomic.Int64 // times the operator was opened
-	ns      atomic.Int64 // inclusive wall time across Open/Next/Close
-	scanned atomic.Int64 // source rows visited (levelIter counter fold)
-	probes  atomic.Int64 // index + range probes issued
-	workers int
-	parts   int
+	rows    int64 // rows produced
+	loops   int64 // times the operator was opened
+	ns      int64 // inclusive wall time across Open/Next/Close
+	scanned int64 // source rows visited (levelIter counter fold)
+	probes  int64 // index + range probes issued
 }
 
 // suffix renders the operator's actuals for appending to its plan line.
-// Nil-safe: operators the run never instrumented render nothing. Worker
-// pipeline levels carry no timing (summing wall time across concurrent
-// goroutines would overstate it), so a levels-only record renders its scan
-// counters alone.
+// Nil-safe: operators the run never instrumented render nothing.
 func (m *opMetrics) suffix() string {
 	if m == nil {
 		return ""
 	}
 	var parts []string
-	if l := m.loops.Load(); l > 0 {
-		parts = append(parts, fmt.Sprintf("rows=%d", m.rows.Load()))
-		if l > 1 {
-			parts = append(parts, fmt.Sprintf("loops=%d", l))
+	if m.loops > 0 {
+		parts = append(parts, fmt.Sprintf("rows=%d", m.rows))
+		if m.loops > 1 {
+			parts = append(parts, fmt.Sprintf("loops=%d", m.loops))
 		}
-		parts = append(parts, "time="+fmtAnDur(time.Duration(m.ns.Load())))
+		parts = append(parts, "time="+fmtAnDur(time.Duration(m.ns)))
 	}
-	if s := m.scanned.Load(); s > 0 {
-		parts = append(parts, fmt.Sprintf("scanned=%d", s))
+	if m.scanned > 0 {
+		parts = append(parts, fmt.Sprintf("scanned=%d", m.scanned))
 	}
-	if p := m.probes.Load(); p > 0 {
-		parts = append(parts, fmt.Sprintf("probes=%d", p))
-	}
-	if m.workers > 1 {
-		parts = append(parts, fmt.Sprintf("workers=%d", m.workers), fmt.Sprintf("parts=%d", m.parts))
+	if m.probes > 0 {
+		parts = append(parts, fmt.Sprintf("probes=%d", m.probes))
 	}
 	if len(parts) == 0 {
 		return " (actual rows=0)"
@@ -105,7 +91,6 @@ func fmtAnDur(d time.Duration) string {
 // and the compiled form of every SELECT that ran, keyed by AST node so the
 // renderer can recurse statement → CTEs exactly as EXPLAIN does.
 type analyzeRun struct {
-	mu      sync.Mutex
 	ops     map[anKey]*opMetrics
 	selects map[*SelectStmt]*selectCompiled
 }
@@ -120,8 +105,6 @@ func newAnalyzeRun() *analyzeRun {
 // op returns the operator's record, creating it on first use.
 func (an *analyzeRun) op(owner any, pos int) *opMetrics {
 	k := anKey{owner, pos}
-	an.mu.Lock()
-	defer an.mu.Unlock()
 	m := an.ops[k]
 	if m == nil {
 		m = &opMetrics{}
@@ -132,21 +115,7 @@ func (an *analyzeRun) op(owner any, pos int) *opMetrics {
 
 // find returns the operator's record, or nil if the operator never ran.
 func (an *analyzeRun) find(owner any, pos int) *opMetrics {
-	an.mu.Lock()
-	defer an.mu.Unlock()
 	return an.ops[anKey{owner, pos}]
-}
-
-func (an *analyzeRun) noteSelect(s *SelectStmt, cs *selectCompiled) {
-	an.mu.Lock()
-	an.selects[s] = cs
-	an.mu.Unlock()
-}
-
-func (an *analyzeRun) selectFor(s *SelectStmt) *selectCompiled {
-	an.mu.Lock()
-	defer an.mu.Unlock()
-	return an.selects[s]
 }
 
 // instrBind wraps a binding-space iterator, recording open count, rows
@@ -159,19 +128,19 @@ type instrBind struct {
 }
 
 func (ib *instrBind) Open() error {
-	ib.m.loops.Add(1)
+	ib.m.loops++
 	t0 := time.Now()
 	err := ib.in.Open()
-	ib.m.ns.Add(int64(time.Since(t0)))
+	ib.m.ns += int64(time.Since(t0))
 	return err
 }
 
 func (ib *instrBind) Next() (bool, error) {
 	t0 := time.Now()
 	ok, err := ib.in.Next()
-	ib.m.ns.Add(int64(time.Since(t0)))
+	ib.m.ns += int64(time.Since(t0))
 	if ok {
-		ib.m.rows.Add(1)
+		ib.m.rows++
 	}
 	return ok, err
 }
@@ -179,7 +148,7 @@ func (ib *instrBind) Next() (bool, error) {
 func (ib *instrBind) Close() {
 	t0 := time.Now()
 	ib.in.Close()
-	ib.m.ns.Add(int64(time.Since(t0)))
+	ib.m.ns += int64(time.Since(t0))
 }
 
 // instrRow is instrBind's row-space twin.
@@ -189,19 +158,19 @@ type instrRow struct {
 }
 
 func (ir *instrRow) Open() error {
-	ir.m.loops.Add(1)
+	ir.m.loops++
 	t0 := time.Now()
 	err := ir.in.Open()
-	ir.m.ns.Add(int64(time.Since(t0)))
+	ir.m.ns += int64(time.Since(t0))
 	return err
 }
 
 func (ir *instrRow) Next() ([]Value, bool, error) {
 	t0 := time.Now()
 	row, ok, err := ir.in.Next()
-	ir.m.ns.Add(int64(time.Since(t0)))
+	ir.m.ns += int64(time.Since(t0))
 	if ok {
-		ir.m.rows.Add(1)
+		ir.m.rows++
 	}
 	return row, ok, err
 }
@@ -209,14 +178,13 @@ func (ir *instrRow) Next() ([]Value, bool, error) {
 func (ir *instrRow) Close() {
 	t0 := time.Now()
 	ir.in.Close()
-	ir.m.ns.Add(int64(time.Since(t0)))
+	ir.m.ns += int64(time.Since(t0))
 }
 
 // ExplainAnalyze executes a statement with per-operator instrumentation and
 // returns the EXPLAIN tree annotated with actuals: rows produced, open
 // count, inclusive wall time, and source rows scanned / probes issued per
-// join level, plus worker and partition counts where the parallel executor
-// engaged. The statement runs for real: a DML statement mutates the
+// join level. The statement runs for real: a DML statement mutates the
 // database and appends its redo record exactly as Exec would. Also
 // reachable through the SQL path as `EXPLAIN ANALYZE <stmt>` (or the
 // shorthand `ANALYZE <stmt>`) via Query.
@@ -396,12 +364,7 @@ func (db *DB) renderAnalyzeMatch(b *strings.Builder, name string, t *Table, wher
 	lp := db.matchPlanFor(slot, name, t, where)
 	src := &source{name: name, table: t}
 	ap := chooseAccessPlan(lp, src, 0, nil, true)
-	m := an.find(slot, anMatch)
-	par := 1
-	if m != nil && m.workers > 1 {
-		par = m.workers
-	}
-	indentLine(b, depth, levelLine(lp, src, ap, par)+m.suffix())
+	indentLine(b, depth, levelLine(lp, src, ap)+an.find(slot, anMatch).suffix())
 }
 
 // renderAnalyzeSelect mirrors renderSelectTree over the compiled forms the
@@ -409,7 +372,7 @@ func (db *DB) renderAnalyzeMatch(b *strings.Builder, name string, t *Table, wher
 // sub-statement the execution never reached falls back to the predicted
 // plan, unannotated.
 func (db *DB) renderAnalyzeSelect(b *strings.Builder, s *SelectStmt, an *analyzeRun, depth int) error {
-	cs := an.selectFor(s)
+	cs := an.selects[s]
 	if cs == nil {
 		return db.explainSelect(b, s, newEnv(nil), depth, nil)
 	}
@@ -448,10 +411,7 @@ func (db *DB) renderAnalyzeSelect(b *strings.Builder, s *SelectStmt, an *analyze
 	return nil
 }
 
-// renderAnalyzeBody mirrors explainBody. The parallel decision is read off
-// the recorded exchange operator rather than recomputed, so the rendered
-// fan-out is the one that actually ran even if table cardinalities have
-// moved since.
+// renderAnalyzeBody mirrors explainBody.
 func (db *DB) renderAnalyzeBody(b *strings.Builder, bc *bodyCompiled, an *analyzeRun, depth int) {
 	s := bc.sel
 	if s.Distinct {
@@ -476,19 +436,9 @@ func (db *DB) renderAnalyzeBody(b *strings.Builder, bc *bodyCompiled, an *analyz
 		indentLine(b, depth, "Values")
 		return
 	}
-	par := 1
-	if xm := an.find(bc, anExchange); xm != nil {
-		par = xm.workers
-		indentLine(b, depth, fmt.Sprintf("Exchange (workers=%d, ordered)%s", par, xm.suffix()))
-		depth++
-	}
 	for pos := len(bc.plan.levels) - 1; pos >= 0; pos-- {
 		lp := bc.plan.levels[pos]
-		lpar := 1
-		if par > 1 && (pos == 0 || bc.access[pos].kind == accessHashJoin) {
-			lpar = par
-		}
-		indentLine(b, depth, levelLine(lp, bc.srcs[lp.slot], bc.access[pos], lpar)+an.find(bc, pos).suffix())
+		indentLine(b, depth, levelLine(lp, bc.srcs[lp.slot], bc.access[pos])+an.find(bc, pos).suffix())
 		depth++
 	}
 }
@@ -518,9 +468,6 @@ func writeStatsDelta(b *strings.Builder, d Stats) {
 		{"planCacheMisses", d.PlanCacheMisses},
 		{"internHits", d.InternHits},
 		{"internMisses", d.InternMisses},
-		{"parallelWorkers", d.ParallelWorkers},
-		{"partitionsScanned", d.PartitionsScanned},
-		{"exchangeBatches", d.ExchangeBatches},
 		{"snapshotsTaken", d.SnapshotsTaken},
 		{"versionChainHops", d.VersionChainHops},
 		{"writeConflicts", d.WriteConflicts},

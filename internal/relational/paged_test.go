@@ -535,17 +535,15 @@ func TestPagedMVCC(t *testing.T) {
 	}
 }
 
-// TestPagedConcurrentStress runs parallel-executor scans and joins from
-// many reader goroutines against a two-page pool — so the readers
-// constantly fault and evict each other's pages through the pool mutex —
-// while a writer churns rows and checkpoints. Run under -race this is the
+// TestPagedConcurrentStress runs scans and joins from many reader
+// goroutines against a two-page pool — so the readers constantly fault and
+// evict each other's pages through the pool mutex — while a writer churns rows and checkpoints. Run under -race this is the
 // paged backend's concurrency proof; the final state must still match a
 // serial shadow of the same writes.
 func TestPagedConcurrentStress(t *testing.T) {
 	dir := t.TempDir()
 	opts := pagedOpts()
 	opts.PoolPages = 2
-	opts.Parallelism = 4
 	db := mustOpenDB(t, dir, opts)
 	shadow := NewDB()
 	writes := []string{

@@ -50,6 +50,16 @@ func TestTraceHookPhases(t *testing.T) {
 	if qe.Kind != "query-each" || qe.Rows != 2 {
 		t.Errorf("query-each: kind=%q rows=%d, want query-each/2", qe.Kind, qe.Rows)
 	}
+	// Read spans time their executor phase like Exec does, and the phases
+	// fit inside the span.
+	for _, qt := range []*QueryTrace{q, qe} {
+		if qt.Execute <= 0 {
+			t.Errorf("%s: Execute = %v, want > 0", qt.Kind, qt.Execute)
+		}
+		if sum := qt.Parse + qt.LockWait + qt.Execute; sum > qt.Total {
+			t.Errorf("%s: Parse+LockWait+Execute = %v exceeds Total %v", qt.Kind, sum, qt.Total)
+		}
+	}
 	for _, qt := range got {
 		if qt.Total <= 0 {
 			t.Errorf("%s: non-positive Total %v", qt.Kind, qt.Total)
